@@ -1,82 +1,32 @@
-"""Bi-directionally coupled RTN/circuit co-simulation (future-work #1).
+"""Bi-directionally coupled RTN/circuit co-simulation of the 6T cell.
 
-The paper's methodology is one-way: a clean SPICE pass fixes the biases,
-SAMURAI generates RTN against them, and a second SPICE pass consumes the
-frozen traces.  Its conclusions note the limitation: "in reality ...
-both RTN and the circuit states evolve together, with RTN modulating the
-circuit voltages/currents and the circuit simultaneously modulating the
-stochastic processes governing RTN generation."
+The paper's methodology is one-way: the circuit biases are frozen by a
+clean pass before any RTN is generated.  Its conclusions note that "in
+reality ... both RTN and the circuit states evolve together" (future-work
+#1).  :func:`run_coupled` runs a test pattern on the cell with that loop
+closed: the traps of each transistor follow its live bias and their
+occupancy feeds back as an opposing current every step.
 
-This module closes the loop.  Before every transient step the
-co-simulator:
-
-1. reads the present node voltages and computes each transistor's
-   effective drive and channel current (same conventions as the one-way
-   bias extractor);
-2. advances every trap *exactly* over the step under rates frozen at
-   that bias (a first-order splitting of the continuous modulation —
-   exact as dt -> 0, and the uniformisation sum bound still holds since
-   the propensity sum is bias-independent);
-3. updates a held current source per transistor with the resulting
-   ``sign(i_d) * amplitude * N_filled`` value.
-
-The circuit step then sees the new RTN current, and the next trap update
-sees the circuit's response: the bi-directional coupling the paper calls
-"higher order effects".
+This module is an adapter.  It installs the pattern stimuli, turns the
+per-transistor trap lists into :class:`repro.cosim.TrapAttachment`
+entries and hands them to the single trap-coupled loop in
+:mod:`repro.cosim.engine`; then it classifies the operations of the
+resulting waveform.  Initial trap states are drawn at 0 V, the
+pre-stimulus bias.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..devices.ekv import drain_current
+from ..cosim.engine import TrapAttachment, _co_simulate
 from ..errors import SimulationError
-from ..markov.occupancy import OccupancyTrace
-from ..rtn.current import RtnAmplitudeModel, VanDerZielModel
-from ..spice.elements import CurrentSource
-from ..spice.transient import TransientOptions, simulate_transient
+from ..rtn.current import RtnAmplitudeModel
 from ..sram.cell import SramCell
 from ..sram.detectors import DetectorThresholds, classify_operations
 from ..sram.patterns import TestPattern, build_pattern_waveforms
-from ..traps.propensity import equilibrium_occupancy, rates_for_population
-from ..traps.trap import Trap
-
-
-class _HeldValue:
-    """A stimulus whose value the co-simulation loop mutates per step."""
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def __call__(self, t):
-        return self.value
-
-
-@dataclass
-class _TrapState:
-    """One trap's live state during co-simulation."""
-
-    trap: Trap
-    state: int
-    flips: list = field(default_factory=list)
-
-    def advance(self, t: float, dt: float, lambda_c: float, lambda_e: float,
-                rng: np.random.Generator) -> None:
-        """Exact evolution over [t, t+dt] at frozen rates."""
-        rates = (lambda_c, lambda_e)
-        current = t
-        end = t + dt
-        while True:
-            rate_out = rates[self.state]
-            if rate_out <= 0.0:
-                break
-            current += rng.exponential(1.0 / rate_out)
-            if current >= end:
-                break
-            self.flips.append(current)
-            self.state = 1 - self.state
 
 
 @dataclass
@@ -115,7 +65,8 @@ def run_coupled(cell: SramCell, pattern: TestPattern,
     pattern:
         The stimulus pattern.
     trap_populations:
-        Transistor name -> trap list.
+        Transistor name -> trap list.  An empty list yields an empty
+        occupancy list for that transistor.
     rng:
         NumPy random generator (initial states + trap evolution).
     rtn_scale:
@@ -131,97 +82,21 @@ def run_coupled(cell: SramCell, pattern: TestPattern,
     unknown = set(trap_populations) - set(cell.transistors)
     if unknown:
         raise SimulationError(f"unknown transistors: {unknown}")
-    model = amplitude_model or VanDerZielModel()
-    tech = cell.spec.technology
 
     waves = build_pattern_waveforms(pattern, cell.vdd)
     cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-    step = dt if dt is not None else waves.suggested_dt
+    attachments = [TrapAttachment(name, tuple(traps), rtn_scale)
+                   for name, traps in trap_populations.items() if traps]
+    result = _co_simulate(
+        cell.circuit, attachments, waves.duration,
+        dt if dt is not None else waves.suggested_dt, rng,
+        initial_voltages=cell.initial_voltages(pattern.initial_bit),
+        model=amplitude_model, record_every=record_every)
 
-    # Attach one held source per populated transistor (source -> drain,
-    # same opposing convention as the one-way injector).
-    held: dict[str, _HeldValue] = {}
-    created = []
-    for name, traps in trap_populations.items():
-        if not traps:
-            continue
-        drain, _, source, _ = cell.terminals[name]
-        held[name] = _HeldValue()
-        element_name = f"Irtn_coupled_{name}"
-        CurrentSource(element_name, cell.circuit, source, drain, held[name])
-        created.append(element_name)
-
-    # Live trap state, initialised at the pre-stimulus equilibrium.
-    live: dict[str, list[_TrapState]] = {}
-    for name, traps in trap_populations.items():
-        states = []
-        for trap in traps:
-            p_fill = equilibrium_occupancy(0.0, trap, tech)
-            states.append(_TrapState(trap=trap,
-                                     state=int(rng.random() < p_fill)))
-        live[name] = states
-
-    def bias_of(name: str, x: np.ndarray) -> tuple[float, float]:
-        drain, gate, source, bulk = cell.terminals[name]
-
-        def volt(node: str) -> float:
-            index = cell.circuit.node(node)
-            return 0.0 if index < 0 else float(x[index])
-
-        v_d, v_g, v_s, v_b = (volt(drain), volt(gate), volt(source),
-                              volt(bulk))
-        params = cell.transistors[name].params
-        if params.is_nmos:
-            v_drive = v_g - min(v_d, v_s)
-        else:
-            v_drive = max(v_d, v_s) - v_g
-        i_d = float(drain_current(params, v_g, v_d, v_s, v_b))
-        return v_drive, i_d
-
-    def pre_step(t: float, x: np.ndarray) -> None:
-        for name, states in live.items():
-            if not states:
-                continue
-            v_drive, i_d = bias_of(name, x)
-            params = cell.transistors[name].params
-            lam_c_all, lam_e_all = rates_for_population(
-                v_drive, [s.trap for s in states], tech)
-            n_filled = 0
-            for trap_state, lam_c, lam_e in zip(states, lam_c_all,
-                                                lam_e_all):
-                trap_state.advance(t, step, float(lam_c), float(lam_e), rng)
-                n_filled += trap_state.state
-            amplitude = float(np.asarray(
-                model.amplitude(params, v_drive, abs(i_d))))
-            # RTN can at most null the channel current (same physical
-            # clip as the one-way methodology applies to its traces).
-            magnitude = min(amplitude * n_filled * rtn_scale, abs(i_d))
-            held[name].value = np.sign(i_d) * magnitude
-
-    options = TransientOptions(record_every=record_every,
-                               pre_step=pre_step)
-    try:
-        waveform = simulate_transient(
-            cell.circuit, waves.duration, step,
-            initial_voltages=cell.initial_voltages(pattern.initial_bit),
-            options=options)
-    finally:
-        for name in created:
-            cell.circuit.remove(name)
-
-    occupancies = {}
-    for name, states in live.items():
-        traces = []
-        for trap_state in states:
-            flips = np.asarray(trap_state.flips, dtype=float)
-            initial = (trap_state.state + len(trap_state.flips)) % 2
-            keep = flips < waves.duration
-            traces.append(OccupancyTrace.from_transitions(
-                0.0, waves.duration, int(initial), flips[keep]))
-        occupancies[name] = traces
-
-    op_results = classify_operations(waveform, waves.schedule, cell.vdd,
-                                     thresholds=thresholds
+    occupancies = {name: result.occupancies.get(name, [])
+                   for name in trap_populations}
+    op_results = classify_operations(result.waveform, waves.schedule,
+                                     cell.vdd, thresholds=thresholds
                                      or DetectorThresholds())
-    return CoupledResult(waveform=waveform, occupancies=occupancies,
+    return CoupledResult(waveform=result.waveform, occupancies=occupancies,
                          op_results=op_results)

@@ -1,14 +1,27 @@
-"""The circuit-agnostic trap-coupled transient engine.
+"""The trap-coupled transient loop: RTN and the circuit evolve together.
 
-Attach trap populations to MOSFETs of any circuit; before every
-transient step each population advances exactly under rates frozen at
-its host's live bias, and a held current source injects the opposing
-RTN current (clipped at the live channel current, signed with it).
+The paper's methodology is one-way: a clean SPICE pass fixes the
+biases, SAMURAI generates RTN against them, and a second SPICE pass
+consumes the frozen traces.  Its conclusions ask for the two to
+"evolve together" instead (future-work #1).  This module is the one
+implementation of that scheme.  Before every transient step it:
 
-This is the general form of the paper's future-work #1 coupling; the
-SRAM (:mod:`repro.core.coupled`) and ring
-(:mod:`repro.oscillators.ring`) co-simulators are specialised versions
-of the same scheme.
+1. reads the live node voltages and computes each host MOSFET's drive
+   (``v_g - min(v_d, v_s)`` for an NMOS) and channel current;
+2. advances every trap *exactly* over the step under rates frozen at
+   that drive (a first-order splitting of the continuous modulation,
+   exact as dt -> 0);
+3. sets the host's held opposing current source to
+   ``sign(i_d) * amplitude * N_filled * rtn_scale``, clipped at
+   ``|i_d|``.
+
+:func:`run_trap_coupled` runs the loop on any circuit.  The SRAM
+(:func:`repro.core.coupled.run_coupled`) and ring
+(:func:`repro.oscillators.ring.run_ring_with_rtn`) co-simulators are
+adapters: they build :class:`TrapAttachment` lists for their circuit and
+call the same loop.  The only per-caller input is the bias at which the
+initial trap states are drawn: 0 V for a generic host and the SRAM,
+``vdd/2`` for a free-running ring stage.
 """
 
 from __future__ import annotations
@@ -80,6 +93,8 @@ class TrapCoupledResult:
 
 
 class _HeldValue:
+    """A stimulus whose value the co-simulation loop sets per step."""
+
     def __init__(self) -> None:
         self.value = 0.0
 
@@ -88,23 +103,25 @@ class _HeldValue:
 
 
 class _LivePopulation:
-    """Trap states plus their held source for one attachment."""
+    """Trap states, flip log and held source value for one attachment."""
 
     def __init__(self, attachment: TrapAttachment, mosfet: Mosfet,
-                 held: _HeldValue, rng: np.random.Generator,
-                 tech) -> None:
+                 initial_bias: float, rng: np.random.Generator) -> None:
         self.attachment = attachment
         self.mosfet = mosfet
-        self.held = held
+        self.traps = list(attachment.traps)
+        self.held = _HeldValue()
         occupancies = equilibrium_occupancy_population(
-            0.0, list(attachment.traps), tech)
+            initial_bias, self.traps, mosfet.params.technology)
         self.states = [int(rng.random() < p) for p in occupancies]
-        self.flips: list[list] = [[] for _ in attachment.traps]
+        self.flips: list[list] = [[] for _ in self.traps]
 
     def advance(self, t: float, dt: float, v_drive: float,
-                rng: np.random.Generator, tech) -> int:
+                rng: np.random.Generator) -> int:
+        """Evolve every trap exactly over ``[t, t + dt]`` at rates frozen
+        at ``v_drive``; return the number filled at the end."""
         lam_c, lam_e = rates_for_population(
-            v_drive, list(self.attachment.traps), tech)
+            v_drive, self.traps, self.mosfet.params.technology)
         n_filled = 0
         end = t + dt
         for index in range(len(self.states)):
@@ -161,31 +178,36 @@ def run_trap_coupled(circuit: Circuit, attachments: list,
     """
     if not attachments:
         raise SimulationError("need at least one attachment")
+    return _co_simulate(circuit, attachments, t_stop, dt, rng,
+                        initial_voltages=initial_voltages, model=model,
+                        record_every=record_every)
+
+
+def _co_simulate(circuit: Circuit, attachments: list, t_stop: float,
+                 dt: float, rng: np.random.Generator, *,
+                 initial_voltages: dict | None = None,
+                 model: RtnAmplitudeModel | None = None,
+                 record_every: int = 1,
+                 initial_bias: float = 0.0) -> TrapCoupledResult:
+    """The loop behind :func:`run_trap_coupled` and its adapters.
+
+    Unlike the public entry it accepts an empty attachment list (a plain
+    transient), and it draws the initial trap states at ``initial_bias``.
+    Every attachment is validated and every population built before the
+    circuit is touched, so a failed setup leaves no held source behind.
+    """
     names = [a.mosfet_name for a in attachments]
     if len(set(names)) != len(names):
         raise SimulationError("duplicate attachment for one MOSFET")
     amplitude_model = model or VanDerZielModel()
 
     live: list[_LivePopulation] = []
-    created = []
     for attachment in attachments:
         mosfet = circuit.element(attachment.mosfet_name)
         if not isinstance(mosfet, Mosfet):
             raise SimulationError(
                 f"{attachment.mosfet_name!r} is not a MOSFET")
-        held = _HeldValue()
-        drain, __, source, __ = mosfet.nodes
-
-        def node_name(index: int) -> str:
-            return "0" if index < 0 else circuit.node_names[index]
-
-        element_name = f"Irtn_cosim_{attachment.mosfet_name}"
-        # Current source oriented source -> drain (opposing convention).
-        CurrentSource(element_name, circuit, node_name(source),
-                      node_name(drain), held)
-        created.append(element_name)
-        tech = mosfet.params.technology
-        live.append(_LivePopulation(attachment, mosfet, held, rng, tech))
+        live.append(_LivePopulation(attachment, mosfet, initial_bias, rng))
 
     def volt(x: np.ndarray, index: int) -> float:
         return 0.0 if index < 0 else float(x[index])
@@ -202,20 +224,31 @@ def run_trap_coupled(circuit: Circuit, attachments: list,
             else:
                 v_drive = max(v_d, v_s) - v_g
             i_d = float(drain_current(params, v_g, v_d, v_s, v_b))
-            tech = params.technology
-            n_filled = population.advance(t, dt, v_drive, rng, tech)
+            n_filled = population.advance(t, dt, v_drive, rng)
             amplitude = float(np.asarray(amplitude_model.amplitude(
                 params, v_drive, abs(i_d))))
+            # RTN can at most null the channel current (the same clip
+            # the one-way methodology applies to its traces).
             magnitude = min(amplitude * n_filled
                             * population.attachment.rtn_scale, abs(i_d))
             population.held.value = np.sign(i_d) * magnitude
 
-    options = TransientOptions(record_every=record_every,
-                               pre_step=pre_step)
+    def node_name(index: int) -> str:
+        return "0" if index < 0 else circuit.node_names[index]
+
+    created = []
     try:
-        waveform = simulate_transient(circuit, t_stop, dt,
-                                      initial_voltages=initial_voltages,
-                                      options=options)
+        for population in live:
+            drain, __, source, __ = population.mosfet.nodes
+            element_name = f"Irtn_cosim_{population.attachment.mosfet_name}"
+            # Current source oriented source -> drain (opposing convention).
+            CurrentSource(element_name, circuit, node_name(source),
+                          node_name(drain), population.held)
+            created.append(element_name)
+        waveform = simulate_transient(
+            circuit, t_stop, dt, initial_voltages=initial_voltages,
+            options=TransientOptions(record_every=record_every,
+                                     pre_step=pre_step))
     finally:
         for name in created:
             circuit.remove(name)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.coupled import run_coupled
+from repro.cosim import TrapAttachment, run_trap_coupled
 from repro.devices.technology import TECH_90NM
 from repro.errors import SimulationError
 from repro.sram.cell import SramCellSpec, build_sram_cell
-from repro.sram.patterns import write_pattern
+from repro.sram.patterns import build_pattern_waveforms, write_pattern
 from repro.traps.band import crossing_energy
 from repro.traps.trap import Trap
 
@@ -49,6 +50,39 @@ class TestInterface:
         result = run_coupled(cell, SHORT, {}, rng, record_every=4)
         assert [r.outcome.value for r in result.op_results] == ["ok", "ok"]
         assert result.occupancies == {}
+
+    def test_matches_trap_coupled_engine(self, rng_factory):
+        """run_coupled is an adapter: the generic engine on the same
+        cell, stimuli and seed reproduces it bit for bit, and a
+        transistor with an empty trap list gets an empty list back."""
+        populations = {"M1": [fast_trap(0.5)], "M4": [],
+                       "M3": [fast_trap(0.45), fast_trap(0.6)],
+                       "M5": [fast_trap(0.5)]}
+        cell_a = build_sram_cell()
+        adapted = run_coupled(cell_a, SHORT, populations, rng_factory(2),
+                              rtn_scale=30.0, record_every=2)
+        cell_b = build_sram_cell()
+        waves = build_pattern_waveforms(SHORT, cell_b.vdd)
+        cell_b.set_stimuli(waves.wl, waves.bl, waves.blb)
+        direct = run_trap_coupled(
+            cell_b.circuit,
+            [TrapAttachment(name, tuple(traps), 30.0)
+             for name, traps in populations.items() if traps],
+            waves.duration, waves.suggested_dt, rng_factory(2),
+            initial_voltages=cell_b.initial_voltages(SHORT.initial_bit),
+            record_every=2)
+        assert adapted.waveform.signals == direct.waveform.signals
+        assert np.array_equal(adapted.waveform.times, direct.waveform.times)
+        for name in direct.waveform.signals:
+            assert np.array_equal(adapted.waveform[name],
+                                  direct.waveform[name])
+        assert adapted.occupancies["M4"] == []
+        for name, traces in direct.occupancies.items():
+            assert len(adapted.occupancies[name]) == len(traces)
+            for ours, theirs in zip(adapted.occupancies[name], traces):
+                assert np.array_equal(ours.times, theirs.times)
+                assert np.array_equal(ours.states, theirs.states)
+        assert direct.total_transitions() > 0
 
 
 class TestCoupledPhysics:

@@ -8,7 +8,7 @@ import pytest
 from repro.cosim import TrapAttachment, run_trap_coupled
 from repro.devices.mosfet import MosfetParams
 from repro.devices.technology import TECH_90NM
-from repro.errors import SimulationError
+from repro.errors import ModelError, SimulationError
 from repro.spice.circuit import Circuit
 from repro.spice.elements import Capacitor, Mosfet, Resistor, VoltageSource
 from repro.spice.sources import DC
@@ -57,6 +57,26 @@ class TestValidation:
         atts = [TrapAttachment("RL", (fast_trap(),))]
         with pytest.raises(SimulationError):
             run_trap_coupled(common_source_amp(), atts, 1e-8, 1e-11, rng)
+
+    @pytest.mark.parametrize("attachments, error", [
+        ([TrapAttachment("M1", (fast_trap(),)),
+          TrapAttachment("RL", (fast_trap(),))], SimulationError),
+        ([TrapAttachment("M1", (fast_trap(), Trap(y_tr=1e-6, e_tr=1.0)))],
+         ModelError),
+    ], ids=["second-not-a-mosfet", "trap-deeper-than-oxide"])
+    def test_failed_setup_leaves_no_source(self, rng, attachments, error):
+        """Setup validates everything before touching the circuit, so a
+        failed call leaves the netlist as it was and a retry works."""
+        circuit = common_source_amp()
+        before = [e.name for e in circuit.elements]
+        with pytest.raises(error):
+            run_trap_coupled(circuit, attachments, 1e-9, 1e-11, rng)
+        assert [e.name for e in circuit.elements] == before
+        result = run_trap_coupled(
+            circuit, [TrapAttachment("M1", (fast_trap(),))], 1e-9, 1e-11,
+            rng, initial_voltages={"vdd": 1.0, "d": 0.6}, record_every=4)
+        assert len(result.occupancies["M1"]) == 1
+        assert [e.name for e in circuit.elements] == before
 
     def test_sources_removed(self, rng):
         circuit = common_source_amp()

@@ -15,6 +15,7 @@ from repro.oscillators.ring import (
 from repro.spice.transient import TransientOptions, simulate_transient
 from repro.spice.waveform import Waveform
 from repro.traps.band import crossing_energy
+from repro.traps.propensity import equilibrium_occupancy
 from repro.traps.trap import Trap
 
 pytestmark = pytest.mark.tier1
@@ -126,6 +127,23 @@ class TestRtnCoupling:
         # The modulation is percent-level at this acceleration.
         ratio = result.period_when_filled / result.period_when_empty
         assert 1.001 < ratio < 1.2
+
+    def test_initial_state_drawn_at_half_supply(self):
+        """A ring stage has no stationary bias, so the trap's first state
+        is drawn at vdd/2, not at 0 V: a deep, slow trap that is surely
+        filled at vdd/2 and surely empty at 0 V starts filled."""
+        ring = build_ring_oscillator(TECH_90NM)
+        y = 1.5e-9
+        trap = Trap(y_tr=y, e_tr=crossing_energy(0.25 * ring.vdd, y,
+                                                 TECH_90NM))
+        assert equilibrium_occupancy(0.5 * ring.vdd, trap, TECH_90NM) > 0.999
+        assert equilibrium_occupancy(0.0, trap, TECH_90NM) < 0.001
+        for seed in range(3):
+            result = run_ring_with_rtn(ring, trap, stage=0,
+                                       rng=np.random.default_rng(seed),
+                                       t_stop=1e-9, dt=4e-12,
+                                       record_every=4)
+            assert result.occupancy.initial_state == 1
 
     def test_source_removed_after_run(self, rng):
         ring = build_ring_oscillator(TECH_90NM)
