@@ -6,7 +6,7 @@ callable ``value(t)`` accepting scalars or arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,15 +72,19 @@ class PWL:
     """Piecewise-linear stimulus through ``(times, values)`` points.
 
     Before the first point the first value holds; after the last point
-    the last value holds.
+    the last value holds.  The validated points are also kept as
+    float64 arrays, so evaluating the stimulus does not re-convert the
+    (often thousands of points long) tuples on every call.
     """
 
     times: tuple
     values: tuple
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise NetlistError("PWL needs >= 2 points")
         if values.shape != times.shape:
@@ -89,6 +93,8 @@ class PWL:
             raise NetlistError("PWL times must be strictly increasing")
         object.__setattr__(self, "times", tuple(float(x) for x in times))
         object.__setattr__(self, "values", tuple(float(x) for x in values))
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_values", values)
 
     @classmethod
     def from_arrays(cls, times, values) -> "PWL":
@@ -98,7 +104,7 @@ class PWL:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        value = np.interp(t_arr, self.times, self.values)
+        value = np.interp(t_arr, self._times, self._values)
         return value if t_arr.ndim else float(value)
 
 
