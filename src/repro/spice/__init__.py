@@ -13,6 +13,8 @@ Layout:
 - :mod:`repro.spice.sources` — time-dependent stimulus functions.
 - :mod:`repro.spice.elements` — element classes and their MNA stamps.
 - :mod:`repro.spice.mna` — the stamp target (matrix + RHS wrapper).
+- :mod:`repro.spice.assembly` — the compiled, vectorised MNA assembly
+  every DC and transient analysis uses (one compilation per analysis).
 - :mod:`repro.spice.newton` — the damped Newton solver.
 - :mod:`repro.spice.dcop` — DC operating point (gmin/source stepping).
 - :mod:`repro.spice.transient` — transient analysis.

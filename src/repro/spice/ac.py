@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
+from .assembly import GMIN_FLOOR
 from .circuit import Circuit
-from .dcop import GMIN_FLOOR, DcSolution, dc_operating_point
+from .dcop import DcSolution, dc_operating_point
 from .elements import (
     Capacitor,
     CurrentSource,

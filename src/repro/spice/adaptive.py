@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, SimulationError
+from .assembly import CompiledCircuit
 from .circuit import Circuit
 from .elements import IntegrationCoeff
-from .mna import Stamper
 from .newton import NewtonOptions, solve_newton
-from .transient import GMIN_FLOOR
 from .waveform import Waveform
 
 
@@ -84,39 +83,17 @@ def simulate_transient_adaptive(circuit: Circuit, t_stop: float,
         raise SimulationError("dt_initial must lie in (0, t_stop]")
     max_step = opts.max_step if opts.max_step is not None else t_stop / 50.0
 
-    n = circuit.assign_branches()
-    x = np.zeros(n)
-    for name, value in (initial_voltages or {}).items():
-        index = circuit.node(name)
-        if index >= 0:
-            x[index] = value
+    compiled = CompiledCircuit(circuit)
+    x = compiled.unknowns(initial_voltages)
+    state = compiled.capacitor_state(x)
 
-    history: dict = {}
-    for element in circuit.elements:
-        element.init_history(x, history)
-
-    def assemble_factory(t_new: float, coeff: IntegrationCoeff,
-                         hist: dict):
-        def assemble(x_guess: np.ndarray):
-            stamper = Stamper(n)
-            for node in range(circuit.n_nodes):
-                stamper.add_matrix(node, node, GMIN_FLOOR)
-            for element in circuit.elements:
-                element.stamp(stamper, x_guess, t_new, coeff, hist)
-            return stamper.matrix, stamper.rhs
-        return assemble
-
-    def take_step(x_from: np.ndarray, hist: dict, t_from: float,
-                  h: float, method: str) -> tuple[np.ndarray, dict]:
-        """One integration step on a *copy* of the history."""
-        local_hist = dict(hist)
+    def take_step(x_from: np.ndarray, state: tuple, t_from: float,
+                  h: float, method: str) -> tuple[np.ndarray, tuple]:
+        """One integration step; returns the new solution and history."""
         coeff = IntegrationCoeff(method=method, dt=h)
-        x_new = solve_newton(
-            assemble_factory(t_from + h, coeff, local_hist), x_from,
-            opts.newton)
-        for element in circuit.elements:
-            element.update_history(x_new, coeff, local_hist)
-        return x_new, local_hist
+        x_new = solve_newton(compiled.assembler(t_from + h, coeff, state),
+                             x_from, opts.newton)
+        return x_new, compiled.advance(state, x_new, coeff)
 
     # A couple of BE ramp-in steps make the initial capacitor currents
     # consistent before trapezoidal LTE control engages.
@@ -127,7 +104,7 @@ def simulate_transient_adaptive(circuit: Circuit, t_stop: float,
     for _ in range(2):
         if t + h >= t_stop:
             break
-        x, history = take_step(x, history, t, h, "be")
+        x, state = take_step(x, state, t, h, "be")
         t += h
         times.append(t)
         solutions.append(x.copy())
@@ -136,10 +113,10 @@ def simulate_transient_adaptive(circuit: Circuit, t_stop: float,
     while t < t_stop - 1e-15 * t_stop:
         h = float(np.clip(h, opts.min_step, min(max_step, t_stop - t)))
         try:
-            x_coarse, __ = take_step(x, history, t, h, "trap")
-            x_half, hist_half = take_step(x, history, t, h / 2.0, "trap")
-            x_fine, hist_fine = take_step(x_half, hist_half, t + h / 2.0,
-                                          h / 2.0, "trap")
+            x_coarse, __ = take_step(x, state, t, h, "trap")
+            x_half, state_half = take_step(x, state, t, h / 2.0, "trap")
+            x_fine, state_fine = take_step(x_half, state_half, t + h / 2.0,
+                                           h / 2.0, "trap")
         except ConvergenceError:
             rejects += 1
             if rejects > opts.max_rejects:
@@ -161,7 +138,7 @@ def simulate_transient_adaptive(circuit: Circuit, t_stop: float,
         # Accept the fine solution (Richardson's better half).
         rejects = 0
         x = x_fine
-        history = hist_fine
+        state = state_fine
         t += h
         times.append(t)
         solutions.append(x.copy())
@@ -171,10 +148,4 @@ def simulate_transient_adaptive(circuit: Circuit, t_stop: float,
         else:
             h *= opts.growth_limit
 
-    data = np.asarray(solutions)
-    signals = {name: data[:, circuit.node(name)]
-               for name in circuit.node_names}
-    for element in circuit.elements:
-        if element.num_branches:
-            signals[f"i({element.name})"] = data[:, element.branch_index]
-    return Waveform(np.asarray(times), signals)
+    return compiled.waveform(times, solutions)

@@ -6,10 +6,17 @@ Every element implements::
 
 where ``x`` is the present Newton iterate of the unknown vector, ``t``
 the evaluation time, ``coeff`` the integration context (``None`` for DC
-analysis) and ``history`` a per-element state dict owned by the
-transient engine.  Elements carrying branch-current unknowns expose
-``num_branches`` and receive ``branch_index`` from
+analysis) and ``history`` a per-element state dict (see
+``init_history``/``update_history``).  Elements carrying branch-current
+unknowns expose ``num_branches`` and receive ``branch_index`` from
 :meth:`repro.spice.circuit.Circuit.assign_branches`.
+
+These per-element stamps are the reference definition of each
+element's equations.  The DC and transient analyses do not call them:
+they assemble through :class:`repro.spice.assembly.CompiledCircuit`,
+which compiles the same stamps into index arrays once per analysis and
+is tested entry for entry against this reference.  AC analysis stamps
+its small-signal system from here.
 """
 
 from __future__ import annotations

@@ -21,14 +21,11 @@ import numpy as np
 
 from .. import obs
 from ..errors import ConvergenceError, SimulationError
+from .assembly import CompiledCircuit
 from .circuit import Circuit
-from .elements import CurrentSource, IntegrationCoeff, VoltageSource
-from .mna import Stamper
+from .elements import IntegrationCoeff
 from .newton import NewtonOptions, NewtonRecovery, solve_newton
 from .waveform import Waveform
-
-#: Permanent conductance to ground on every node [S].
-GMIN_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,9 @@ class TransientOptions:
             raise SimulationError("record_every must be >= 1")
 
 
-def _recover_step(assemble_factory, sub_t: float, sub_step: float,
-                  method: str, x: np.ndarray, opts: TransientOptions,
+def _recover_step(compiled: CompiledCircuit, state: tuple, sub_t: float,
+                  sub_step: float, method: str, x: np.ndarray,
+                  opts: TransientOptions,
                   error: ConvergenceError) -> np.ndarray:
     """Last-ditch ladder for a step that survived no halving.
 
@@ -99,12 +97,13 @@ def _recover_step(assemble_factory, sub_t: float, sub_step: float,
     coeff = IntegrationCoeff(method=method, dt=sub_step)
     if opts.recovery:
         recover = NewtonRecovery(
-            source_stepping=lambda scale: assemble_factory(
-                sub_t + sub_step, coeff, source_scale=scale),
+            source_stepping=lambda scale: compiled.assembler(
+                sub_t + sub_step, coeff, state, source_scale=scale),
             fallback=x if opts.hold_on_stall else None)
         try:
-            x_new = solve_newton(assemble_factory(sub_t + sub_step, coeff),
-                                 x, opts.newton, recover=recover)
+            x_new = solve_newton(
+                compiled.assembler(sub_t + sub_step, coeff, state), x,
+                opts.newton, recover=recover)
         except ConvergenceError as exc:
             error = exc
         else:
@@ -152,47 +151,16 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
     if dt <= 0.0 or dt > t_stop:
         raise SimulationError(f"dt must lie in (0, t_stop], got {dt}")
 
-    n = circuit.assign_branches()
+    compiled = CompiledCircuit(circuit)
+    n = compiled.n
     if initial_x is not None:
         x = np.array(initial_x, dtype=float, copy=True)
         if x.shape != (n,):
             raise SimulationError(
                 f"initial_x has shape {x.shape}, expected ({n},)")
     else:
-        x = np.zeros(n)
-        for name, value in (initial_voltages or {}).items():
-            index = circuit.node(name)
-            if index >= 0:
-                x[index] = value
-
-    history: dict = {}
-    for element in circuit.elements:
-        element.init_history(x, history)
-
-    def assemble_factory(t_new: float, coeff: IntegrationCoeff,
-                         source_scale: float = 1.0):
-        def assemble(x_guess: np.ndarray):
-            stamper = Stamper(n)
-            for node in range(circuit.n_nodes):
-                stamper.add_matrix(node, node, GMIN_FLOOR)
-            if source_scale == 1.0:
-                for element in circuit.elements:
-                    element.stamp(stamper, x_guess, t_new, coeff, history)
-                return stamper.matrix, stamper.rhs
-            # Source-stepping homotopy: independent sources write their
-            # targets only to the RHS, so scaling just *their* RHS ramps
-            # the stimuli without touching nonlinear-device stamps
-            # (mirrors the DC operating-point continuation).
-            sources = Stamper(n)
-            for element in circuit.elements:
-                if isinstance(element, (VoltageSource, CurrentSource)):
-                    element.stamp(sources, x_guess, t_new, coeff, history)
-                else:
-                    element.stamp(stamper, x_guess, t_new, coeff, history)
-            stamper.matrix += sources.matrix
-            stamper.rhs += source_scale * sources.rhs
-            return stamper.matrix, stamper.rhs
-        return assemble
+        x = compiled.unknowns(initial_voltages)
+    state = compiled.capacitor_state(x)
 
     times = [0.0]
     solutions = [x.copy()]
@@ -216,20 +184,19 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
                 coeff = IntegrationCoeff(method=method, dt=sub_step)
                 try:
                     x_new = solve_newton(
-                        assemble_factory(sub_t + sub_step, coeff), x,
-                        opts.newton)
+                        compiled.assembler(sub_t + sub_step, coeff, state),
+                        x, opts.newton)
                 except ConvergenceError as error:
                     halvings += 1
                     total_halvings += 1
                     if halvings > opts.max_halvings:
-                        x_new = _recover_step(assemble_factory, sub_t,
+                        x_new = _recover_step(compiled, state, sub_t,
                                               sub_step, method, x, opts,
                                               error)
                     else:
                         method = "be"  # BE is more robust while struggling
                         continue
-                for element in circuit.elements:
-                    element.update_history(x_new, coeff, history)
+                state = compiled.advance(state, x_new, coeff)
                 x = x_new
                 sub_t += sub_step
                 sub_remaining -= sub_step
@@ -245,10 +212,4 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
         obs.inc("transient.steps", accepted)
         obs.inc("transient.halvings", total_halvings)
 
-    data = np.asarray(solutions)
-    signals = {name: data[:, circuit.node(name)]
-               for name in circuit.node_names}
-    for element in circuit.elements:
-        if element.num_branches:
-            signals[f"i({element.name})"] = data[:, element.branch_index]
-    return Waveform(np.asarray(times), signals)
+    return compiled.waveform(times, solutions)

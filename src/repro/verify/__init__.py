@@ -12,7 +12,8 @@ bend the physics:
   distribution tests against the Eq.-1-constrained exponentials, and
   batch-vs-scalar kernel equivalence;
 - :mod:`repro.verify.spice_checks` — KCL residuals, charge
-  conservation, RC closed form, 6T DC-op bistability;
+  conservation, RC closed form, 6T DC-op bistability, dt-halving
+  convergence of SRAM pattern verdicts;
 - :mod:`repro.verify.harness` — seed-derived case generators over trap
   parameters, bias waveforms and technology cards, Bonferroni
   :class:`AlphaBudget` bookkeeping, and shrinking-by-bisection for
@@ -58,6 +59,7 @@ from .spice_checks import (
     check_dcop_kcl,
     check_sram_bistability,
     check_transient_charge_conservation,
+    check_transient_dt_refinement,
     check_transient_rc_analytic,
 )
 from .suite import run_suite
@@ -76,6 +78,7 @@ __all__ = [
     "check_sram_bistability",
     "check_stationary_occupancy",
     "check_transient_charge_conservation",
+    "check_transient_dt_refinement",
     "check_transient_occupancy",
     "check_transient_rc_analytic",
     "compare_golden",
