@@ -125,6 +125,26 @@ class MethodologyResult:
                 if result.outcome is OpOutcome.ERROR]
 
 
+def injected_traces(rtn: dict, biases: dict,
+                    config: MethodologyConfig) -> dict:
+    """The current sources step 3 injects, transistor name -> trace.
+
+    Each device's SAMURAI trace (``rtn``: name -> ``DeviceRtnResult``)
+    is scaled by ``config.rtn_scale`` and, with ``clip_to_nominal``,
+    clamped to the magnitude of its clean-pass current from ``biases``.
+    """
+    traces = {}
+    for name, result in rtn.items():
+        trace = result.trace.scaled(config.rtn_scale)
+        if config.clip_to_nominal:
+            limit = np.abs(biases[name].i_d)
+            clipped = np.clip(trace.current, -limit, limit)
+            trace = RTNTrace(times=trace.times, current=clipped,
+                             label=trace.label)
+        traces[name] = trace
+    return traces
+
+
 def run_methodology(pattern: TestPattern, rng: np.random.Generator,
                     spec: SramCellSpec | None = None,
                     profiler: TrapProfiler | None = None,
@@ -182,16 +202,8 @@ def run_methodology(pattern: TestPattern, rng: np.random.Generator,
     rtn = engine.generate(biases, rng)
 
     # Step 3: inject and re-simulate.
-    traces = {}
-    for name, result in rtn.items():
-        trace = result.trace.scaled(config.rtn_scale)
-        if config.clip_to_nominal:
-            limit = np.abs(biases[name].i_d)
-            clipped = np.clip(trace.current, -limit, limit)
-            trace = RTNTrace(times=trace.times, current=clipped,
-                             label=trace.label)
-        traces[name] = trace
-    attach_rtn_sources(cell, traces, scale=1.0)
+    attach_rtn_sources(cell, injected_traces(rtn, biases, config),
+                       scale=1.0)
     try:
         rtn_waveform = simulate_transient(cell.circuit, waves.duration, dt,
                                           initial_voltages=initial,
