@@ -26,7 +26,7 @@ The supported entry points are collected in :mod:`repro.api`::
     from repro.api import EnsembleConfig, EnsembleRunner
 """
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 from . import api, constants, errors, units
 

@@ -5,14 +5,11 @@ traces numerically and translates it to a power spectral density; this
 package provides those estimators plus the Lorentzian and 1/f fits used
 by the Fig. 3 and Fig. 7 reproductions.
 
-The blessed estimator names follow the ``compute_*`` convention
+The estimator names follow the ``compute_*`` convention
 (``compute_welch_psd``, ``compute_dwell_summary``, ...) and are
-re-exported from :mod:`repro.api`.  The historical bare names
-(``welch_psd``, ``summarise_dwells``, ...) keep working through
-module-level deprecation shims and will be removed in a future release.
+re-exported from :mod:`repro.api`.
 """
 
-from .._deprecation import warn_once
 from .autocorr import autocorrelation as compute_autocorrelation
 from .autocorr import autocovariance as compute_autocovariance
 from .dwell import DwellSummary
@@ -43,25 +40,3 @@ __all__ = [
     "log_rms_error",
 ]
 
-#: Historical name -> blessed ``compute_*`` name (deprecation shims).
-_RENAMED = {
-    "autocorrelation": "compute_autocorrelation",
-    "autocovariance": "compute_autocovariance",
-    "exponentiality_pvalue": "compute_dwell_exponentiality",
-    "summarise_dwells": "compute_dwell_summary",
-    "periodogram_psd": "compute_periodogram_psd",
-    "psd_from_autocovariance": "compute_psd_from_autocovariance",
-    "welch_psd": "compute_welch_psd",
-}
-
-
-def __getattr__(name: str):
-    replacement = _RENAMED.get(name)
-    if replacement is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    warn_once(
-        f"repro.analysis.{name} is deprecated; use "
-        f"repro.analysis.{replacement} (also exported from repro.api)",
-        DeprecationWarning, stacklevel=2)
-    return globals()[replacement]

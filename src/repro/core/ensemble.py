@@ -1,9 +1,9 @@
 """Array-scale Monte-Carlo RTN prediction on the batched kernel.
 
-:func:`repro.sram.array.simulate_array` runs the full two-SPICE-pass
-methodology per cell — exact but linear in cells *and* dominated by
-transient solves.  This module is the scalable path the paper's outlook
-asks for ("predicting the bit-error impact of RTN on entire SRAM
+The ``sram.array`` scenario runs the full two-SPICE-pass methodology
+per cell — exact but linear in cells *and* dominated by transient
+solves.  This module is the scalable path the paper's outlook asks
+for ("predicting the bit-error impact of RTN on entire SRAM
 arrays"): it amortises the SPICE work across the whole ensemble and
 pushes every stochastic trap simulation through
 :func:`repro.markov.batch.simulate_traps_batch`.
@@ -30,8 +30,10 @@ The pipeline:
    ``vt_shifts``) and classified into write errors exactly like the
    per-cell methodology.  The fan-out is the ``sram.verify`` scenario —
    a prepared-plan :class:`~repro.core.scenario.Scenario` executed on
-   the configured :mod:`repro.core.engine` backend — so the runner no
-   longer carries its own dispatch code.
+   the configured :mod:`repro.core.engine` backend — so the runner
+   carries neither its own dispatch nor its own checkpoint code:
+   ``checkpoint_dir``/``resume`` go straight to
+   :func:`~repro.core.scenario.run_scenario`.
 5. **Margins**: the nominal static noise margin is computed once;
    ``margin_samples`` adds a per-cell hold-SNM distribution.
 """
@@ -39,13 +41,13 @@ The pipeline:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import obs
-from .._deprecation import warn_once
 from ..errors import ModelError, RecoveredWarning, SimulationError
 from ..obs import clock
 from ..obs.telemetry import RunTelemetry
@@ -53,13 +55,16 @@ from ..markov.batch import _scalar_fallback, simulate_traps_batch
 from ..markov.occupancy import number_filled
 from ..rtn.current import RtnAmplitudeModel, VanDerZielModel, rtn_current_samples
 from ..rtn.trace import RTNTrace
-from ..spice.transient import TransientOptions, simulate_transient
+# The SPICE passes run through methodology.simulate_pattern; this
+# binding stays because perfbench's layer probe resolves it by name.
+from ..spice.transient import simulate_transient  # noqa: F401
+from ..sram.detectors import OpOutcome
 from ..traps.propensity import (
     equilibrium_occupancy_population,
     population_propensity,
 )
-from .methodology import MethodologyConfig
-from .resilience import JOB_STATUSES, RetryPolicy, RunCheckpoint
+from .methodology import MethodologyConfig, simulate_pattern
+from .resilience import JOB_STATUSES, RetryPolicy
 from .scenario import Scenario, register_scenario, run_scenario
 
 __all__ = [
@@ -126,13 +131,17 @@ class EnsembleConfig:
         ``None`` uses :class:`~repro.core.resilience.RetryPolicy`
         defaults (3 attempts, no timeout).
     checkpoint_dir:
-        Run directory for periodic snapshots of completed cell
-        outcomes; ``None`` disables checkpointing.
+        Run directory for periodic snapshots of completed verification
+        jobs (the ``sram.verify`` scenario's checkpoint); ``None``
+        disables checkpointing.
     checkpoint_every:
         Snapshot cadence, in completed verification jobs.
     resume:
         Load an existing checkpoint from ``checkpoint_dir`` and skip
-        the verification of cells it already covers.
+        the verification of cells it already covers.  The checkpoint
+        must come from the same run (same seed, cell count, pattern,
+        mismatch, scaling, screen and methodology), else resuming
+        raises ``ValueError``.
     """
 
     n_cells: int
@@ -176,17 +185,6 @@ class EnsembleConfig:
                 raise ValueError(
                     f"unknown backend {self.backend!r}; available: "
                     f"{', '.join(available_backends())}")
-
-    def fingerprint(self) -> dict:
-        """Identity of a run for checkpoint compatibility checks."""
-        spec = self.spec
-        node = getattr(getattr(spec, "technology", None), "node", None)
-        return {
-            "n_cells": int(self.n_cells),
-            "rtn_scale": float(self.rtn_scale),
-            "screen_threshold": float(self.screen_threshold),
-            "technology": node,
-        }
 
 
 @dataclass
@@ -404,22 +402,6 @@ class EnsembleResult:
             metrics=dict(self.metrics_snapshot),
         )
 
-    def failure_summary(self) -> dict:
-        """Deprecated: the pre-telemetry diagnostics dictionary.
-
-        .. deprecated::
-            Use :attr:`telemetry` — the same counts live in
-            ``result.telemetry.counts`` / ``.complete`` / ``.errors``
-            and the kernel fallbacks in ``.kernel``.  This shim keeps
-            the old dictionary shape working and will be removed in a
-            future release.
-        """
-        warn_once(
-            "EnsembleResult.failure_summary() is deprecated; read "
-            "EnsembleResult.telemetry (a RunTelemetry) instead",
-            DeprecationWarning, stacklevel=2)
-        return self.telemetry.failure_summary_dict()
-
     def summary(self) -> dict:
         """Compact dictionary for reports and the CLI."""
         metrics = self.screen_metrics()
@@ -477,23 +459,8 @@ def _verify_cell(job: tuple) -> tuple[int, int, list]:
     verification passes; every randomness-bearing input (traces, trap
     populations) is drawn before sharding, so workers are deterministic.
     """
-    from ..sram.cell import build_sram_cell
-    from ..sram.detectors import OpOutcome, classify_operations
-    from ..sram.injection import attach_rtn_sources
-    from ..sram.patterns import build_pattern_waveforms
-
-    index, spec, pattern, traces, dt, record_every, thresholds = job
-    cell = build_sram_cell(spec)
-    waves = build_pattern_waveforms(pattern, cell.vdd)
-    cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-    attach_rtn_sources(cell, traces, scale=1.0)
-    waveform = simulate_transient(
-        cell.circuit, waves.duration,
-        dt if dt is not None else waves.suggested_dt,
-        initial_voltages=cell.initial_voltages(pattern.initial_bit),
-        options=TransientOptions(record_every=record_every))
-    results = classify_operations(waveform, waves.schedule, cell.vdd,
-                                  thresholds=thresholds)
+    index, spec, pattern, traces, config = job
+    _, _, results = simulate_pattern(spec, pattern, config, traces=traces)
     failures = sum(1 for r in results if r.outcome is not OpOutcome.OK)
     errors = [r.index for r in results if r.outcome is OpOutcome.ERROR]
     return index, failures, errors
@@ -504,18 +471,51 @@ class VerificationPlan:
     """The ensemble's prepared verification fan-out, as scenario input.
 
     The runner screens the population first, so the plan arrives fully
-    materialised: one prepared ``_verify_cell`` job tuple per pending
-    cell, keyed by its cell index.  Keeping the cell indices as job
-    keys preserves the fault-site decision hashes and checkpoint record
-    indices of the pre-scenario dispatch bit-for-bit.
+    materialised: one prepared ``_verify_cell`` job tuple per cell to
+    verify, keyed by its cell index (the fault-site and checkpoint
+    key), plus the run ``identity`` a checkpoint must match to be
+    resumed (see :func:`_run_identity`).
     """
 
     jobs: tuple
     keys: tuple
+    identity: dict
 
     def __post_init__(self) -> None:
         if len(self.jobs) != len(self.keys):
             raise ValueError("jobs and keys must match one-to-one")
+
+
+def _run_identity(config: EnsembleConfig, spec, pattern, avt: float,
+                  shifts: list) -> dict:
+    """Every input that can change a verdict, for checkpoint resumes.
+
+    The seed enters through a BLAKE2b digest of all cells' sampled
+    threshold shifts, the first draws from the run's generator (the
+    screen metrics cannot stand in: clipped at x30 they are all 1.0).
+    Values are JSON-native, because :meth:`RunCheckpoint.load
+    <repro.core.resilience.RunCheckpoint.load>` compares them after a
+    JSON round-trip.
+    """
+    digest = hashlib.blake2b(digest_size=12)
+    for cell_shifts in shifts:
+        digest.update(np.array(list(cell_shifts.values())).tobytes())
+    method = config.methodology
+    return {
+        "n_cells": int(config.n_cells),
+        "rtn_scale": float(config.rtn_scale),
+        "screen_threshold": float(config.screen_threshold),
+        "technology": spec.technology.node,
+        "supply": float(spec.supply),
+        "avt": float(avt),
+        "vt_shifts": digest.hexdigest(),
+        "operations": [dataclasses.asdict(op) for op in pattern.operations],
+        "initial_bit": int(pattern.initial_bit),
+        "dt": method.dt,
+        "record_every": int(method.record_every),
+        "clip_to_nominal": bool(method.clip_to_nominal),
+        "thresholds": dataclasses.asdict(method.thresholds),
+    }
 
 
 def _verify_job(payload, rng: np.random.Generator):
@@ -553,7 +553,7 @@ class VerifyScenario(Scenario):
         return results
 
     def fingerprint(self, config: VerificationPlan) -> dict:
-        return {"keys": [int(key) for key in config.keys]}
+        return config.identity
 
     def encode_value(self, value):
         index, failures, errors = value
@@ -597,10 +597,8 @@ class EnsembleRunner:
         """
         from ..sram.array import PELGROM_AVT, sample_vt_shifts
         from ..sram.biases import extract_biases
-        from ..sram.cell import SramCellSpec, build_sram_cell
-        from ..sram.detectors import OpOutcome, classify_operations
+        from ..sram.cell import SramCellSpec
         from ..sram.margins import static_noise_margin
-        from ..sram.patterns import build_pattern_waveforms
         from ..traps.profiling import TrapProfiler
 
         config = self.config
@@ -633,17 +631,7 @@ class EnsembleRunner:
         phase_started = run_started
 
         # Step 1: one clean SPICE pass on the nominal cell.
-        cell = build_sram_cell(spec)
-        waves = build_pattern_waveforms(pattern, cell.vdd)
-        cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-        dt = method.dt if method.dt is not None else waves.suggested_dt
-        initial = cell.initial_voltages(pattern.initial_bit)
-        clean = simulate_transient(cell.circuit, waves.duration, dt,
-                                   initial_voltages=initial,
-                                   options=TransientOptions(
-                                       record_every=method.record_every))
-        clean_results = classify_operations(clean, waves.schedule, cell.vdd,
-                                            thresholds=method.thresholds)
+        cell, clean, clean_results = simulate_pattern(spec, pattern, method)
         clean_failures = sum(1 for r in clean_results
                              if r.outcome is not OpOutcome.OK)
         biases = extract_biases(cell, clean)
@@ -730,85 +718,48 @@ class EnsembleRunner:
                 traces[cell_index][name] = trace
         phase_started = _phase_done("kernels", phase_started)
 
-        # Step 4: verify the flagged cells through the injected pass,
-        # fault-isolated: one diverging or crashing verification costs
-        # (at most) one cell, and completed cells checkpoint to disk.
+        # Step 4: verify the flagged cells through the injected pass on
+        # the sram.verify scenario: fault-isolated (one diverging or
+        # crashing verification costs at most one cell) and
+        # checkpointed by run_scenario, whose resume skips the cells a
+        # checkpoint of the same run already covers.
         flagged = metrics >= config.screen_threshold
         order = np.argsort(-metrics)
         verify = [int(i) for i in order if flagged[i] and traces[i]]
         if config.max_verified_cells is not None:
             verify = verify[:config.max_verified_cells]
-
-        checkpoint = None
-        verdicts: dict = {}
-        if config.checkpoint_dir is not None:
-            checkpoint = RunCheckpoint(config.checkpoint_dir)
-            if config.resume and checkpoint.exists():
-                for index, record in checkpoint.load(
-                        config.fingerprint()).items():
-                    verdicts[int(index)] = record
-        pending = [i for i in verify if i not in verdicts]
         jobs = [(i, dataclasses.replace(spec, vt_shifts=shifts[i]),
-                 pattern, traces[i], method.dt, method.record_every,
-                 method.thresholds) for i in pending]
-
-        completed_since_save = 0
-
-        def on_result(job_result) -> None:
-            nonlocal completed_since_save
-            index = int(job_result.key)
-            if job_result.succeeded:
-                _, failures, errors = job_result.value
-                record = {"status": job_result.status, "failures": failures,
-                          "error_slots": list(errors)}
-            else:
-                record = {"status": job_result.status, "failures": 0,
-                          "error_slots": [], "error": job_result.error,
-                          "error_type": job_result.error_type,
-                          "error_details": dict(job_result.error_details)}
-            record["attempts"] = job_result.attempts
-            verdicts[index] = record
-            if checkpoint is not None:
-                checkpoint.add(index, record)
-                completed_since_save += 1
-                if completed_since_save >= config.checkpoint_every:
-                    checkpoint.save(config.fingerprint())
-                    completed_since_save = 0
-
-        # The fan-out rides the sram.verify scenario: same jobs, same
-        # cell-index keys (so fault decisions and checkpoint records
-        # are bit-identical to the pre-scenario dispatch), with the
-        # runner keeping its own richer checkpoint records via
-        # on_result rather than the scenario layer's generic ones.
-        run_scenario(VerifyScenario,
-                     VerificationPlan(jobs=tuple(jobs), keys=tuple(pending)),
-                     backend=config.backend, workers=config.workers,
-                     policy=config.retry or RetryPolicy(),
-                     on_result=on_result)
-        if checkpoint is not None:
-            checkpoint.save(config.fingerprint())
+                 pattern, traces[i], method) for i in verify]
+        plan = VerificationPlan(
+            jobs=tuple(jobs), keys=tuple(verify),
+            identity=_run_identity(config, spec, pattern, avt, shifts))
+        run = run_scenario(VerifyScenario, plan,
+                           backend=config.backend, workers=config.workers,
+                           policy=config.retry or RetryPolicy(),
+                           checkpoint_dir=config.checkpoint_dir,
+                           checkpoint_every=config.checkpoint_every,
+                           resume=config.resume)
+        verdicts = {int(job.key): job for job in run.results}
         phase_started = _phase_done("verification", phase_started)
 
         # Step 5: margins.
-        if config.backend is not None:
-            backend_name = str(getattr(config.backend, "name",
-                                       config.backend))
-        else:
-            backend_name = "process" if (config.workers or 0) > 1 \
-                else "serial"
         nominal_snm = static_noise_margin(spec, mode="hold")
         result = EnsembleResult(n_slots=len(pattern.operations),
                                 nominal_snm_hold=nominal_snm,
                                 clean_failures=clean_failures,
                                 kernel_stats=kernel_stats,
                                 kernel_fallbacks=kernel_fallbacks,
-                                backend=backend_name,
+                                backend=run.backend,
                                 traces=traces if config.keep_traces else [])
         for index in range(config.n_cells):
-            record = verdicts.get(index, {})
-            status = record.get("status", "ok")
-            error = record.get("error")
-            details = dict(record.get("error_details") or {})
+            job = verdicts.get(index)
+            status, attempts, error, details = "ok", 0, None, {}
+            failures, error_slots = 0, []
+            if job is not None:
+                status, attempts, error = job.status, job.attempts, job.error
+                details = dict(job.error_details)
+                if job.succeeded:
+                    _, failures, error_slots = job.value
             if index in cell_errors and status in ("ok", "recovered"):
                 # A corrupted trace makes the cell's screening (and any
                 # verification built on it) untrustworthy.
@@ -825,11 +776,9 @@ class EnsembleRunner:
                 transitions=int(transitions[index]),
                 screen_metric=float(metrics[index]),
                 flagged=bool(flagged[index]),
-                verified=status in ("ok", "recovered") and index in verdicts,
-                rtn_failures=int(record.get("failures", 0)),
-                error_slots=list(record.get("error_slots", [])),
-                snm_hold=snm, status=status,
-                attempts=int(record.get("attempts", 0)),
+                verified=status in ("ok", "recovered") and job is not None,
+                rtn_failures=int(failures), error_slots=list(error_slots),
+                snm_hold=snm, status=status, attempts=int(attempts),
                 error=error, error_details=details))
         _phase_done("margins", phase_started)
         timings["total"] = clock.monotonic() - run_started

@@ -27,15 +27,11 @@ from ..errors import SimulationError
 from ..rtn.current import RtnAmplitudeModel, VanDerZielModel
 from ..rtn.trace import RTNTrace
 from ..spice.transient import TransientOptions, simulate_transient
+from ..sram import detectors
 from ..sram.biases import extract_biases
 from ..sram.cell import SramCell, SramCellSpec, build_sram_cell
-from ..sram.detectors import (
-    DetectorThresholds,
-    OpOutcome,
-    classify_operations,
-    count_outcomes,
-)
-from ..sram.injection import attach_rtn_sources, detach_rtn_sources
+from ..sram.detectors import DetectorThresholds, OpOutcome, count_outcomes
+from ..sram.injection import attach_rtn_sources
 from ..sram.patterns import TestPattern, build_pattern_waveforms
 from ..traps.profiling import TrapProfiler
 from .samurai import Samurai
@@ -81,7 +77,7 @@ class MethodologyResult:
     Attributes
     ----------
     cell:
-        The simulated cell (with RTN sources removed again).
+        The clean-pass cell (no RTN sources attached).
     pattern:
         The executed pattern.
     clean_waveform:
@@ -123,6 +119,41 @@ class MethodologyResult:
         """Indices of the pattern slots that erred under RTN."""
         return [result.index for result in self.rtn_results
                 if result.outcome is OpOutcome.ERROR]
+
+
+def simulate_pattern(spec: SramCellSpec, pattern: TestPattern,
+                     config: MethodologyConfig, traces: dict | None = None,
+                     method: str = "trap") -> tuple:
+    """Run ``pattern`` once through SPICE on a fresh cell built from ``spec``.
+
+    The cell is driven by the pattern's WL/BL waveforms, with ``traces``
+    (transistor name -> :class:`~repro.rtn.trace.RTNTrace`) injected
+    as-is when given.  The transient uses ``config.dt`` (default: the
+    pattern's suggested step), ``config.record_every`` and the
+    integration ``method``; every operation is then classified under
+    ``config.thresholds``.  The Fig.-8 flow, the ensemble and the
+    step-refinement oracle all run their SPICE passes through here.
+
+    Returns ``(cell, waveform, results)``: the driven cell, its
+    transient and the per-operation verdicts.
+    """
+    cell = build_sram_cell(spec)
+    waves = build_pattern_waveforms(pattern, cell.vdd)
+    cell.set_stimuli(waves.wl, waves.bl, waves.blb)
+    if traces:
+        attach_rtn_sources(cell, traces, scale=1.0)
+    dt = config.dt if config.dt is not None else waves.suggested_dt
+    waveform = simulate_transient(
+        cell.circuit, waves.duration, dt,
+        initial_voltages=cell.initial_voltages(pattern.initial_bit),
+        options=TransientOptions(method=method,
+                                 record_every=config.record_every))
+    # Looked up on the module at call time, so perfbench's layer probe,
+    # which rebinds detectors.classify_operations, times it.
+    results = detectors.classify_operations(waveform, waves.schedule,
+                                            cell.vdd,
+                                            thresholds=config.thresholds)
+    return cell, waveform, results
 
 
 def injected_traces(rtn: dict, biases: dict,
@@ -175,20 +206,9 @@ def run_methodology(pattern: TestPattern, rng: np.random.Generator,
     if config.rtn_scale < 0.0:
         raise SimulationError("rtn_scale must be non-negative")
 
-    cell = build_sram_cell(spec)
-    waves = build_pattern_waveforms(pattern, cell.vdd)
-    cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-    dt = config.dt if config.dt is not None else waves.suggested_dt
-    options = TransientOptions(record_every=config.record_every)
-    initial = cell.initial_voltages(pattern.initial_bit)
-
     # Step 1: clean pass.
-    clean_waveform = simulate_transient(cell.circuit, waves.duration, dt,
-                                        initial_voltages=initial,
-                                        options=options)
-    clean_results = classify_operations(clean_waveform, waves.schedule,
-                                        cell.vdd,
-                                        thresholds=config.thresholds)
+    cell, clean_waveform, clean_results = simulate_pattern(spec, pattern,
+                                                           config)
 
     # Step 2: SAMURAI under the extracted biases.
     biases = extract_biases(cell, clean_waveform)
@@ -201,20 +221,9 @@ def run_methodology(pattern: TestPattern, rng: np.random.Generator,
             amplitude_model=config.amplitude_model)
     rtn = engine.generate(biases, rng)
 
-    # Step 3: inject and re-simulate.
-    attach_rtn_sources(cell, injected_traces(rtn, biases, config),
-                       scale=1.0)
-    try:
-        rtn_waveform = simulate_transient(cell.circuit, waves.duration, dt,
-                                          initial_voltages=initial,
-                                          options=options)
-    finally:
-        detach_rtn_sources(cell)
-
-    # Step 4: verdicts.
-    rtn_results = classify_operations(rtn_waveform, waves.schedule,
-                                      cell.vdd,
-                                      thresholds=config.thresholds)
+    # Steps 3-4: inject, re-simulate the pattern and classify.
+    _, rtn_waveform, rtn_results = simulate_pattern(
+        spec, pattern, config, traces=injected_traces(rtn, biases, config))
     return MethodologyResult(
         cell=cell, pattern=pattern,
         clean_waveform=clean_waveform, rtn_waveform=rtn_waveform,

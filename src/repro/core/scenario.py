@@ -175,7 +175,12 @@ class Scenario:
         return list(range(len(plan)))
 
     def fingerprint(self, config) -> dict:
-        """Run identity for checkpoint compatibility checks."""
+        """Run identity for checkpoint compatibility checks.
+
+        JSON-native values (a checkpoint stores and compares them after
+        a JSON round-trip); must include the run's size, because the
+        generic fingerprint holds only the scenario name and seed.
+        """
         return {}
 
     def encode_value(self, value):
@@ -442,8 +447,10 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
             for index, payload in enumerate(plan)]
     timings["plan"] = clock.monotonic() - run_started
 
-    fingerprint = {"scenario": scenario.name, "seed": int(seed),
-                   "n_jobs": len(plan)}
+    # The scenario's own fingerprint pins the run size (n_cells,
+    # n_trials, ...); the plan length is left out so a resume may plan
+    # more jobs than the checkpointed run did.
+    fingerprint = {"scenario": scenario.name, "seed": int(seed)}
     fingerprint.update(scenario.fingerprint(config) or {})
 
     checkpoint = None

@@ -33,7 +33,7 @@ from ..spice.assembly import GMIN_FLOOR, CompiledCircuit
 from ..spice.dcop import dc_operating_point
 from ..spice.elements import Capacitor, CurrentSource, Resistor
 from ..spice.sources import DC
-from ..spice.transient import TransientOptions, simulate_transient
+from ..spice.transient import simulate_transient
 from .result import CheckResult
 
 if TYPE_CHECKING:
@@ -178,8 +178,9 @@ def check_transient_dt_refinement(spec, pattern, config: MethodologyConfig,
 
     Runs the cell ``spec`` through ``pattern`` (optionally with RTN
     ``traces`` injected as PWL current sources, transistor name ->
-    :class:`~repro.rtn.trace.RTNTrace`) the way
-    :func:`~repro.core.methodology.run_methodology` does under
+    :class:`~repro.rtn.trace.RTNTrace`) through
+    :func:`~repro.core.methodology.simulate_pattern`, the pass
+    :func:`~repro.core.methodology.run_methodology` runs under
     ``config`` — its step (default: the pattern's suggested step), its
     ``record_every`` thinning and its detector thresholds — once with
     backward-Euler and once with trapezoidal integration, each at
@@ -189,24 +190,16 @@ def check_transient_dt_refinement(spec, pattern, config: MethodologyConfig,
     that flips with the step size is a discretisation artefact, not a
     circuit failure.  The statistic is the worst final-state move.
     """
-    from ..sram.cell import build_sram_cell
-    from ..sram.detectors import classify_operations
-    from ..sram.injection import attach_rtn_sources
+    import dataclasses
+
+    from ..core.methodology import simulate_pattern
     from ..sram.patterns import build_pattern_waveforms
 
     def run(method: str, step: float) -> tuple:
-        cell = build_sram_cell(spec)
-        waves = build_pattern_waveforms(pattern, cell.vdd)
-        cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-        if traces:
-            attach_rtn_sources(cell, traces)
-        wave = simulate_transient(
-            cell.circuit, waves.duration, step,
-            initial_voltages=cell.initial_voltages(pattern.initial_bit),
-            options=TransientOptions(method=method,
-                                     record_every=config.record_every))
-        verdicts = [r.outcome.value for r in classify_operations(
-            wave, waves.schedule, cell.vdd, thresholds=config.thresholds)]
+        _, wave, results = simulate_pattern(
+            spec, pattern, dataclasses.replace(config, dt=step),
+            traces=traces, method=method)
+        verdicts = [r.outcome.value for r in results]
         return verdicts, np.array([wave.final("q"), wave.final("qb")])
 
     dt = config.dt

@@ -17,6 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.ensemble as ensemble_module
+import repro.core.methodology as methodology_module
+import repro.core.scenario as scenario_module
 from repro.core.ensemble import EnsembleConfig, EnsembleRunner
 from repro.core.experiments import fig8_cell_spec, fig8_pattern
 from repro.core.resilience import (
@@ -250,7 +252,7 @@ class TestEnsembleFaultTolerance:
         from repro.spice.transient import TransientOptions
         from repro.sram.injection import RTN_SOURCE_PREFIX
 
-        real = ensemble_module.simulate_transient
+        real = methodology_module.simulate_transient
 
         def stalling(circuit, t_stop, dt, **kwargs):
             injected = any(el.name.startswith(RTN_SOURCE_PREFIX)
@@ -261,7 +263,8 @@ class TestEnsembleFaultTolerance:
                     newton=NewtonOptions(max_iterations=0))
             return real(circuit, t_stop, dt, **kwargs)
 
-        monkeypatch.setattr(ensemble_module, "simulate_transient", stalling)
+        monkeypatch.setattr(methodology_module, "simulate_transient",
+                            stalling)
         result = EnsembleRunner(small_config(
             max_verified_cells=1, retry=RetryPolicy(attempts=1),
         )).run(np.random.default_rng(11))
@@ -350,6 +353,40 @@ class TestCheckpointResume:
             assert (straight.outcomes[index].rtn_failures
                     == resumed.outcomes[index].rtn_failures)
 
+    @staticmethod
+    def _checkpointed(directory, seed=11, **overrides):
+        """A 2-cell x30 run verifying one cell, checkpointed to
+        ``directory``; ``overrides`` replace config fields."""
+        config = dict(n_cells=2, spec=SPEC, pattern=fig8_pattern(bits=(1,)),
+                      rtn_scale=30.0, max_verified_cells=1,
+                      checkpoint_dir=directory)
+        config.update(overrides)
+        return EnsembleRunner(EnsembleConfig(**config)).run(
+            np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("change", [
+        # Seed 11's verdicts must not be reported as seed 12's: the seed
+        # enters the run identity through the sampled mismatch.
+        dict(seed=12),
+        dict(pattern=fig8_pattern(bits=(0,))),
+        dict(avt=1e-9),
+    ], ids=["seed", "pattern", "avt"])
+    def test_resume_rejects_another_run(self, tmp_path, change):
+        self._checkpointed(tmp_path)
+        with pytest.raises(ValueError, match="different run"):
+            self._checkpointed(tmp_path, resume=True, **change)
+
+    def test_resume_rejects_a_1x_ensemble_checkpoint(self, tmp_path):
+        # The 1.x runner keyed its own checkpoint on four fields and no
+        # scenario name; such a checkpoint is a different run now.
+        old = RunCheckpoint(tmp_path)
+        old.add(0, {"status": "ok", "failures": 0, "error_slots": [],
+                    "attempts": 1})
+        old.save({"n_cells": 2, "rtn_scale": 30.0, "screen_threshold": 0.02,
+                  "technology": SPEC.technology.node})
+        with pytest.raises(ValueError, match="different run"):
+            self._checkpointed(tmp_path, resume=True)
+
 
 class _KilledMidRun(BaseException):
     """Stands in for SIGKILL: aborts the parent between checkpoint saves.
@@ -382,7 +419,7 @@ class TestSharedBackendKillResume:
     @staticmethod
     @contextmanager
     def _kill_after(saves: int):
-        real = ensemble_module.RunCheckpoint
+        real = scenario_module.RunCheckpoint
         state = {"left": saves}
 
         class Killing(real):
@@ -392,11 +429,11 @@ class TestSharedBackendKillResume:
                 state["left"] -= 1
                 super().save(fingerprint)
 
-        ensemble_module.RunCheckpoint = Killing
+        scenario_module.RunCheckpoint = Killing
         try:
             yield
         finally:
-            ensemble_module.RunCheckpoint = real
+            scenario_module.RunCheckpoint = real
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

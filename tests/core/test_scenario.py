@@ -111,6 +111,20 @@ class TestRegistry:
         assert isinstance(get_scenario(ToyScenario), ToyScenario)
         assert get_scenario("oscillators.pll").name == "oscillators.pll"
 
+    def test_every_fingerprint_pins_its_size(self):
+        # run_scenario's generic fingerprint carries no job count, so a
+        # resume into a run of another size is refused only because
+        # each scenario's own fingerprint pins it.
+        for name in available_scenarios():
+            scenario = get_scenario(name)
+            try:
+                small = scenario.default_config(n=2)
+            except NotImplementedError:
+                continue  # internal scenarios (sram.verify)
+            larger = scenario.default_config(n=3)
+            assert scenario.fingerprint(small) \
+                != scenario.fingerprint(larger), name
+
 
 class TestRunScenario:
     def test_results_in_job_order_with_payloads(self):

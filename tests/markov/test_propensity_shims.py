@@ -1,4 +1,4 @@
-"""Tests for the keyword-only propensity constructors and their shims."""
+"""Tests for the keyword-only propensity constructors."""
 
 from __future__ import annotations
 
@@ -39,36 +39,6 @@ class TestKeywordPath:
     def test_unexpected_keyword_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             ConstantTwoStatePropensity(lambda_c=1.0, lambda_e=2.0, bogus=3)
-
-
-class TestPositionalShim:
-    def test_positional_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="lambda_c, lambda_e"):
-            prop = ConstantTwoStatePropensity(3.0, 4.0)
-        assert prop.lambda_c == 3.0 and prop.lambda_e == 4.0
-
-        with pytest.warns(DeprecationWarning):
-            prop = CallableTwoStatePropensity(_vec(1.0), _vec(2.0), 5.0)
-        assert prop.rate_bound() == 5.0
-
-        with pytest.warns(DeprecationWarning):
-            prop = SampledTwoStatePropensity(TIMES, RATES, RATES, 2.0)
-        assert prop.rate_bound() == pytest.approx(8.0)  # peak 4 * safety 2
-
-    def test_mixed_positional_and_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            prop = ConstantTwoStatePropensity(3.0, lambda_e=4.0)
-        assert prop.lambda_e == 4.0
-
-    def test_duplicate_argument_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                ConstantTwoStatePropensity(3.0, lambda_c=1.0, lambda_e=2.0)
-
-    def test_excess_positionals_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="at most"):
-                ConstantTwoStatePropensity(1.0, 2.0, 3.0)
 
 
 class TestMakePropensity:

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.methodology import MethodologyConfig
+from repro.core.scenario import run_scenario
 from repro.errors import SimulationError
-from repro.sram.array import (
-    ArrayConfig,
-    sample_vt_shifts,
-    simulate_array,
-)
+from repro.sram.array import ArrayConfig, sample_vt_shifts
 from repro.sram.cell import SramCellSpec, TRANSISTOR_NAMES
 from repro.sram.patterns import write_pattern
 
@@ -57,13 +54,19 @@ class TestVtSampling:
         assert all(v == 0.0 for v in shifts.values())
 
 
+def run_array(config, rng):
+    """The ``sram.array`` scenario, seeded by one draw from ``rng``."""
+    return run_scenario("sram.array", config,
+                        seed=int(rng.integers(2**63))).value
+
+
 class TestArraySimulation:
     def test_small_array_runs(self, rng):
         config = ArrayConfig(
             n_cells=2, base_spec=SramCellSpec(), pattern=TINY_PATTERN,
             rtn_scale=1.0,
             methodology=MethodologyConfig(record_every=4))
-        result = simulate_array(config, rng)
+        result = run_array(config, rng)
         assert result.n_cells == 2
         assert result.n_slots == 2
         assert 0.0 <= result.cell_failure_rate <= 1.0
@@ -79,7 +82,7 @@ class TestArraySimulation:
             n_cells=3, base_spec=SramCellSpec(), pattern=TINY_PATTERN,
             rtn_scale=1.0, avt=1e-9,
             methodology=MethodologyConfig(record_every=4))
-        result = simulate_array(config, rng)
+        result = run_array(config, rng)
         assert result.cell_failure_rate == 0.0
         assert result.baseline_failure_rate == 0.0
 
@@ -87,8 +90,8 @@ class TestArraySimulation:
         config = ArrayConfig(
             n_cells=2, base_spec=SramCellSpec(), pattern=TINY_PATTERN,
             methodology=MethodologyConfig(record_every=4))
-        a = simulate_array(config, rng_factory(9))
-        b = simulate_array(config, rng_factory(9))
+        a = run_array(config, rng_factory(9))
+        b = run_array(config, rng_factory(9))
         assert [o.vt_shifts for o in a.outcomes] == \
             [o.vt_shifts for o in b.outcomes]
         assert [o.trap_count for o in a.outcomes] == \
