@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,9 +56,7 @@ from ..markov.batch import _scalar_fallback, simulate_traps_batch
 from ..markov.occupancy import number_filled
 from ..rtn.current import RtnAmplitudeModel, VanDerZielModel, rtn_current_samples
 from ..rtn.trace import RTNTrace
-# The SPICE passes run through methodology.simulate_pattern; this
-# binding stays because perfbench's layer probe resolves it by name.
-from ..spice.transient import simulate_transient  # noqa: F401
+from ..spice.transient import simulate_transient
 from ..sram.detectors import OpOutcome
 from ..traps.propensity import (
     equilibrium_occupancy_population,
@@ -460,7 +459,8 @@ def _verify_cell(job: tuple) -> tuple[int, int, list]:
     populations) is drawn before sharding, so workers are deterministic.
     """
     index, spec, pattern, traces, config = job
-    _, _, results = simulate_pattern(spec, pattern, config, traces=traces)
+    _, _, results = simulate_pattern(spec, pattern, config, traces=traces,
+                                     simulate=simulate_transient)
     failures = sum(1 for r in results if r.outcome is not OpOutcome.OK)
     errors = [r.index for r in results if r.outcome is OpOutcome.ERROR]
     return index, failures, errors
@@ -487,35 +487,46 @@ class VerificationPlan:
 
 
 def _run_identity(config: EnsembleConfig, spec, pattern, avt: float,
-                  shifts: list) -> dict:
+                  shifts: list, traces: list) -> dict:
     """Every input that can change a verdict, for checkpoint resumes.
 
-    The seed enters through a BLAKE2b digest of all cells' sampled
-    threshold shifts, the first draws from the run's generator (the
-    screen metrics cannot stand in: clipped at x30 they are all 1.0).
-    Values are JSON-native, because :meth:`RunCheckpoint.load
+    The prepared per-cell inputs enter through one BLAKE2b digest of
+    every cell's sampled threshold shifts and injected RTN currents.
+    The currents carry the seed at any ``avt`` (at ``avt=0`` every
+    shift is zero) together with the trap populations, ``rtn_scale``,
+    the amplitude model and the clipping; the screen metrics cannot
+    stand in (clipped at x30 they are all 1.0).  Beside it stand the
+    whole pattern, the cell geometry and the methodology's step,
+    recording and classification settings.  Values are JSON-native,
+    because :meth:`RunCheckpoint.load
     <repro.core.resilience.RunCheckpoint.load>` compares them after a
     JSON round-trip.
     """
     digest = hashlib.blake2b(digest_size=12)
-    for cell_shifts in shifts:
+    for cell_shifts, cell_traces in zip(shifts, traces):
         digest.update(np.array(list(cell_shifts.values())).tobytes())
+        for name in sorted(cell_traces):
+            digest.update(name.encode())
+            digest.update(cell_traces[name].current.tobytes())
     method = config.methodology
-    return {
+    identity = {
         "n_cells": int(config.n_cells),
         "rtn_scale": float(config.rtn_scale),
         "screen_threshold": float(config.screen_threshold),
-        "technology": spec.technology.node,
-        "supply": float(spec.supply),
         "avt": float(avt),
-        "vt_shifts": digest.hexdigest(),
-        "operations": [dataclasses.asdict(op) for op in pattern.operations],
-        "initial_bit": int(pattern.initial_bit),
+        "inputs": digest.hexdigest(),
+        "pattern": dataclasses.asdict(pattern),
+        "spec": {"technology": spec.technology.node,
+                 "supply": float(spec.supply),
+                 "pulldown_factor": float(spec.pulldown_factor),
+                 "pass_factor": float(spec.pass_factor),
+                 "pullup_factor": float(spec.pullup_factor),
+                 "node_capacitance": float(spec.node_capacitance)},
         "dt": method.dt,
         "record_every": int(method.record_every),
-        "clip_to_nominal": bool(method.clip_to_nominal),
         "thresholds": dataclasses.asdict(method.thresholds),
     }
+    return json.loads(json.dumps(identity))
 
 
 def _verify_job(payload, rng: np.random.Generator):
@@ -631,7 +642,8 @@ class EnsembleRunner:
         phase_started = run_started
 
         # Step 1: one clean SPICE pass on the nominal cell.
-        cell, clean, clean_results = simulate_pattern(spec, pattern, method)
+        cell, clean, clean_results = simulate_pattern(
+            spec, pattern, method, simulate=simulate_transient)
         clean_failures = sum(1 for r in clean_results
                              if r.outcome is not OpOutcome.OK)
         biases = extract_biases(cell, clean)
@@ -732,7 +744,8 @@ class EnsembleRunner:
                  pattern, traces[i], method) for i in verify]
         plan = VerificationPlan(
             jobs=tuple(jobs), keys=tuple(verify),
-            identity=_run_identity(config, spec, pattern, avt, shifts))
+            identity=_run_identity(config, spec, pattern, avt, shifts,
+                                   traces))
         run = run_scenario(VerifyScenario, plan,
                            backend=config.backend, workers=config.workers,
                            policy=config.retry or RetryPolicy(),

@@ -123,7 +123,7 @@ class MethodologyResult:
 
 def simulate_pattern(spec: SramCellSpec, pattern: TestPattern,
                      config: MethodologyConfig, traces: dict | None = None,
-                     method: str = "trap") -> tuple:
+                     method: str = "trap", simulate=None) -> tuple:
     """Run ``pattern`` once through SPICE on a fresh cell built from ``spec``.
 
     The cell is driven by the pattern's WL/BL waveforms, with ``traces``
@@ -134,6 +134,11 @@ def simulate_pattern(spec: SramCellSpec, pattern: TestPattern,
     ``config.thresholds``.  The Fig.-8 flow, the ensemble and the
     step-refinement oracle all run their SPICE passes through here.
 
+    ``simulate`` stands in for
+    :func:`~repro.spice.transient.simulate_transient` (same signature):
+    the ensemble passes its own module's binding, the one perfbench's
+    layer probe rebinds to time the ``spice.transient`` layer.
+
     Returns ``(cell, waveform, results)``: the driven cell, its
     transient and the per-operation verdicts.
     """
@@ -143,7 +148,7 @@ def simulate_pattern(spec: SramCellSpec, pattern: TestPattern,
     if traces:
         attach_rtn_sources(cell, traces, scale=1.0)
     dt = config.dt if config.dt is not None else waves.suggested_dt
-    waveform = simulate_transient(
+    waveform = (simulate or simulate_transient)(
         cell.circuit, waves.duration, dt,
         initial_voltages=cell.initial_voltages(pattern.initial_bit),
         options=TransientOptions(method=method,

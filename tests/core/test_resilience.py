@@ -9,6 +9,7 @@ with deterministic injected faults.
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.ensemble as ensemble_module
-import repro.core.methodology as methodology_module
 import repro.core.scenario as scenario_module
 from repro.core.ensemble import EnsembleConfig, EnsembleRunner
 from repro.core.experiments import fig8_cell_spec, fig8_pattern
@@ -252,7 +252,7 @@ class TestEnsembleFaultTolerance:
         from repro.spice.transient import TransientOptions
         from repro.sram.injection import RTN_SOURCE_PREFIX
 
-        real = methodology_module.simulate_transient
+        real = ensemble_module.simulate_transient
 
         def stalling(circuit, t_stop, dt, **kwargs):
             injected = any(el.name.startswith(RTN_SOURCE_PREFIX)
@@ -263,8 +263,7 @@ class TestEnsembleFaultTolerance:
                     newton=NewtonOptions(max_iterations=0))
             return real(circuit, t_stop, dt, **kwargs)
 
-        monkeypatch.setattr(methodology_module, "simulate_transient",
-                            stalling)
+        monkeypatch.setattr(ensemble_module, "simulate_transient", stalling)
         result = EnsembleRunner(small_config(
             max_verified_cells=1, retry=RetryPolicy(attempts=1),
         )).run(np.random.default_rng(11))
@@ -364,17 +363,24 @@ class TestCheckpointResume:
         return EnsembleRunner(EnsembleConfig(**config)).run(
             np.random.default_rng(seed))
 
-    @pytest.mark.parametrize("change", [
-        # Seed 11's verdicts must not be reported as seed 12's: the seed
-        # enters the run identity through the sampled mismatch.
-        dict(seed=12),
-        dict(pattern=fig8_pattern(bits=(0,))),
-        dict(avt=1e-9),
-    ], ids=["seed", "pattern", "avt"])
-    def test_resume_rejects_another_run(self, tmp_path, change):
-        self._checkpointed(tmp_path)
+    @pytest.mark.parametrize("first, second", [
+        # Seed 11's verdicts must not be reported as seed 12's.
+        (dict(), dict(seed=12)),
+        # At avt=0 every sampled shift is zero whatever the seed; the
+        # seed still reaches the run identity through the RTN traces.
+        (dict(avt=0.0), dict(avt=0.0, seed=12)),
+        (dict(), dict(pattern=fig8_pattern(bits=(0,)))),
+        (dict(), dict(pattern=dataclasses.replace(fig8_pattern(bits=(1,)),
+                                                  cycle=5e-9))),
+        (dict(), dict(avt=1e-9)),
+        (dict(), dict(spec=dataclasses.replace(
+            SPEC, node_capacitance=40 * SPEC.node_capacitance))),
+    ], ids=["seed", "seed-at-avt-0", "pattern", "pattern-cycle", "avt",
+            "node-capacitance"])
+    def test_resume_rejects_another_run(self, tmp_path, first, second):
+        self._checkpointed(tmp_path, **first)
         with pytest.raises(ValueError, match="different run"):
-            self._checkpointed(tmp_path, resume=True, **change)
+            self._checkpointed(tmp_path, resume=True, **second)
 
     def test_resume_rejects_a_1x_ensemble_checkpoint(self, tmp_path):
         # The 1.x runner keyed its own checkpoint on four fields and no
